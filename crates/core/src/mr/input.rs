@@ -17,8 +17,8 @@ pub struct InputCheck {
     pub lines: u64,
     /// Lines that parsed as points of the modal dimensionality.
     pub points: u64,
-    /// Lines quarantined: unparsable, non-finite, or of a minority
-    /// dimensionality.
+    /// Lines quarantined: not UTF-8, unparsable, non-finite, or of a
+    /// minority dimensionality.
     pub bad_records: u64,
     /// The modal point dimensionality.
     pub dim: usize,
@@ -43,9 +43,9 @@ pub fn check_input(runner: &JobRunner, input: &str) -> Result<InputCheck> {
     let mut dim_counts: HashMap<usize, u64> = HashMap::new();
     for split in &splits {
         dfs.charge_split_read(split);
-        for (_, line) in split.lines() {
+        for (_, line) in split.records() {
             lines += 1;
-            if let Ok(point) = gmr_datagen::parse_point(line) {
+            if let Some(point) = line.ok().and_then(|l| gmr_datagen::parse_point(l).ok()) {
                 *dim_counts.entry(point.len()).or_insert(0) += 1;
             }
         }

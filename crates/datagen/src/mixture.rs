@@ -226,7 +226,7 @@ impl GaussianMixture {
             for (b, c) in buf.iter_mut().zip(center) {
                 *b = c + self.stddev * gauss.next(&mut rng);
             }
-            writer.write_line(&format_point(&buf));
+            writer.write_line(format_point(&buf));
         }
         writer.close();
         Ok(truth.centers)
@@ -258,7 +258,7 @@ impl LabeledDataset {
     pub fn write_to_dfs(&self, dfs: &Arc<Dfs>, path: &str) -> Result<()> {
         let mut w = dfs.create(path, false)?;
         for row in self.points.rows() {
-            w.write_line(&format_point(row));
+            w.write_line(format_point(row));
         }
         w.close();
         Ok(())

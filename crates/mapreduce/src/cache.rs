@@ -53,7 +53,8 @@ impl PointCache {
     ///
     /// `parse` converts one text line into a point; it is the same
     /// parser the text mappers use, so cached and uncached execution see
-    /// byte-identical inputs.
+    /// byte-identical inputs. A line that is not UTF-8, does not parse or
+    /// has another dimension fails the build.
     pub fn build<F>(dfs: &Arc<Dfs>, path: &str, dim: usize, parse: F) -> Result<Self>
     where
         F: Fn(&str) -> Result<Vec<f64>>,
@@ -67,7 +68,10 @@ impl PointCache {
         for split in &raw {
             dfs.charge_split_read(split);
             let mut points = Dataset::new(dim);
-            for (_, line) in split.lines() {
+            for (offset, line) in split.records() {
+                let line = line.map_err(|_| {
+                    Error::Corrupt(format!("{path}: line at byte {offset} is not UTF-8"))
+                })?;
                 let p = parse(line)?;
                 if p.len() != dim {
                     return Err(Error::Corrupt(format!(

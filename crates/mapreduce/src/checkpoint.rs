@@ -121,13 +121,13 @@ impl RunJournal {
     pub fn commit(&self, seq: u64, payload: &[u8]) -> Result<u64> {
         let staging = self.staging_path(seq);
         let mut w = self.dfs.create(&staging, true)?;
-        w.write_line(&format!(
+        w.write_line(format!(
             "{MAGIC} seq={seq} len={} crc={:016x}",
             payload.len(),
             fnv64(payload)
         ));
         for chunk in payload.chunks(BYTES_PER_LINE) {
-            w.write_line(&hex_encode(chunk));
+            w.write_line(hex_encode(chunk));
         }
         w.close();
         self.dfs.rename(&staging, &self.final_path(seq))?;

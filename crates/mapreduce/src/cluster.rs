@@ -217,6 +217,7 @@ impl ClusterConfig {
                 self.peak_nodes()
             )));
         }
+        self.cost_model.validate()?;
         self.faults.validate()?;
         self.membership.validate(self.nodes)?;
         self.out_of_core.validate()?;

@@ -17,6 +17,8 @@
 //! paper. Every experiment asserts *relations* between simulated times
 //! (linearity, speedup shape, crossovers), never absolute values.
 
+use crate::error::{Error, Result};
+
 /// Converts task work into simulated seconds.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
@@ -79,6 +81,34 @@ impl Default for CostModel {
 }
 
 impl CostModel {
+    /// Rejects a coefficient that is negative or not finite. Each is a
+    /// duration or a time per unit of work; a NaN would otherwise
+    /// surface only as a panic when [`makespan`] orders the durations.
+    pub fn validate(&self) -> Result<()> {
+        let coefficients = [
+            ("job_setup_secs", self.job_setup_secs),
+            ("task_setup_secs", self.task_setup_secs),
+            ("secs_per_input_byte", self.secs_per_input_byte),
+            ("secs_per_shuffle_byte", self.secs_per_shuffle_byte),
+            ("secs_per_compute_unit", self.secs_per_compute_unit),
+            ("secs_per_cached_point", self.secs_per_cached_point),
+            ("secs_per_checkpoint_byte", self.secs_per_checkpoint_byte),
+            ("heartbeat_timeout_secs", self.heartbeat_timeout_secs),
+            ("secs_per_spill_byte", self.secs_per_spill_byte),
+            ("secs_per_compress_byte", self.secs_per_compress_byte),
+            ("secs_per_decompress_byte", self.secs_per_decompress_byte),
+        ];
+        match coefficients
+            .iter()
+            .find(|(_, v)| !(v.is_finite() && *v >= 0.0))
+        {
+            Some((name, v)) => Err(Error::Config(format!(
+                "cost_model.{name} must be finite and non-negative, got {v}"
+            ))),
+            None => Ok(()),
+        }
+    }
+
     /// Simulated driver-side cost of committing one checkpoint of
     /// `bytes` serialized state to the journal.
     pub fn checkpoint_secs(&self, bytes: u64) -> f64 {

@@ -68,15 +68,56 @@ fn frame_header(len: usize, crc: u64) -> String {
     format!("{BLOCK_MAGIC} len={len} crc={crc:016x}")
 }
 
+/// Checks every block that decompressed against its integrity frame,
+/// fanned out over `available_parallelism().min(blocks)` scoped threads
+/// in contiguous shares, the calling thread taking the first share (a
+/// file of one block spawns no thread). Returns one verdict per block;
+/// a block that did not decompress passes here, its caller reports it.
+fn verify_frames(path: &str, blocks: &[Result<Bytes>], frames: &[String]) -> Vec<Result<()>> {
+    let verify = |index: usize| -> Result<()> {
+        let Ok(block) = &blocks[index] else {
+            return Ok(());
+        };
+        let frame = &frames[index];
+        let expect = frame_header(block.len(), block_crc(block));
+        if *frame != expect {
+            return Err(Error::Corrupt(format!(
+                "{path} block {index}: frame {frame:?} does not match data ({expect})"
+            )));
+        }
+        Ok(())
+    };
+    let fill = |first: usize, out: &mut [Result<()>]| {
+        for (j, verdict) in out.iter_mut().enumerate() {
+            *verdict = verify(first + j);
+        }
+    };
+    let threads = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(blocks.len())
+        .max(1);
+    let share = blocks.len().div_ceil(threads).max(1);
+    let mut verdicts = vec![Ok(()); blocks.len()];
+    std::thread::scope(|scope| {
+        let mut shares = verdicts.chunks_mut(share).enumerate();
+        let own = shares.next();
+        for (k, out) in shares {
+            scope.spawn(move || fill(k * share, out));
+        }
+        if let Some((_, out)) = own {
+            fill(0, out);
+        }
+    });
+    verdicts
+}
+
 /// One block as the DFS holds it: either the raw bytes, or their
-/// block-compressed form plus enough metadata to get the raw bytes
-/// back. The integrity frame always covers the raw form.
+/// block-compressed form. The integrity frame always covers the raw
+/// form.
 #[derive(Clone, Debug)]
 struct StoredBlock {
     /// Stored bytes — raw, or a [`crate::compress`] block.
     data: Bytes,
-    /// Length of the raw form (equals `data.len()` when uncompressed).
-    raw_len: usize,
     compressed: bool,
 }
 
@@ -113,17 +154,14 @@ impl DfsFile {
         let blocks = raw_blocks
             .into_iter()
             .map(|b| {
-                let raw_len = b.len();
                 if compressed {
                     StoredBlock {
                         data: Bytes::from(compress::compress(&b)),
-                        raw_len,
                         compressed: true,
                     }
                 } else {
                     StoredBlock {
                         data: b,
-                        raw_len,
                         compressed: false,
                     }
                 }
@@ -170,15 +208,41 @@ impl InputSplit {
 
     /// Iterates `(byte_offset_in_file, line)` pairs, mirroring Hadoop's
     /// `TextInputFormat` (key = offset, value = line without the
-    /// terminator).
+    /// terminator). Lines that are not valid UTF-8 are left out;
+    /// [`InputSplit::records`] yields them too.
     pub fn lines(&self) -> impl Iterator<Item = (u64, &str)> {
-        let base = self.offset;
-        let data = std::str::from_utf8(&self.data).unwrap_or("");
-        let mut pos = 0u64;
-        data.split_inclusive('\n').map(move |raw| {
-            let off = base + pos;
-            pos += raw.len() as u64;
-            (off, raw.trim_end_matches(['\n', '\r']))
+        self.records()
+            .filter_map(|(offset, line)| Some((offset, line.ok()?)))
+    }
+
+    /// Like [`InputSplit::lines`], but yields every line: as `Ok(text)`,
+    /// or as `Err(raw_bytes)` when it is not valid UTF-8, so a reader
+    /// can skip and count the bad line while the rest of the split
+    /// still reads.
+    pub fn records(&self) -> impl Iterator<Item = (u64, std::result::Result<&str, &[u8]>)> {
+        // An all-UTF-8 split, the common case, is validated once and cut
+        // with str's fast newline search; a split holding a bad byte is
+        // cut bytewise and validated line by line.
+        let (text, bytes) = match std::str::from_utf8(&self.data) {
+            Ok(text) => (text, &[][..]),
+            Err(_) => ("", &self.data[..]),
+        };
+        let valid = text
+            .split_inclusive('\n')
+            .map(|raw| (raw.len(), Ok(raw.trim_end_matches(['\n', '\r']))));
+        let checked = bytes.split_inclusive(|&b| b == b'\n').map(|raw| {
+            let end = raw
+                .iter()
+                .rposition(|&b| b != b'\n' && b != b'\r')
+                .map_or(0, |i| i + 1);
+            let line = &raw[..end];
+            (raw.len(), std::str::from_utf8(line).map_err(|_| line))
+        });
+        let mut offset = self.offset;
+        valid.chain(checked).map(move |(len, line)| {
+            let at = offset;
+            offset += len as u64;
+            (at, line)
         })
     }
 }
@@ -789,30 +853,37 @@ impl Dfs {
     pub fn splits(&self, path: &str) -> Result<Vec<InputSplit>> {
         let file = self.file(path)?;
         self.check_available(path)?;
-        let mut offset = 0u64;
-        file.blocks
+        // Decompression stays on this thread: decompressing in the
+        // checksum workers cut the spilling benchmark's wall time but
+        // raised its peak RSS past the benchmark's bound (DESIGN.md
+        // §20).
+        let raw: Vec<Result<Bytes>> = file
+            .blocks
             .iter()
-            .zip(&file.frames)
             .enumerate()
-            .map(|(index, (stored, frame))| {
-                let block = stored.raw().map_err(|e| {
+            .map(|(index, stored)| {
+                stored.raw().map_err(|e| {
                     Error::Corrupt(format!(
                         "{path} block {index}: stored block does not decompress ({e})"
                     ))
-                })?;
-                let expect = frame_header(block.len(), block_crc(&block));
-                if *frame != expect {
-                    return Err(Error::Corrupt(format!(
-                        "{path} block {index}: frame {frame:?} does not match data ({expect})"
-                    )));
-                }
+                })
+            })
+            .collect();
+        let verdicts = verify_frames(path, &raw, &file.frames);
+        let mut offset = 0u64;
+        raw.into_iter()
+            .zip(verdicts)
+            .enumerate()
+            .map(|(index, (block, verdict))| {
+                let data = block?;
+                verdict?;
                 let split = InputSplit {
                     path: path.to_string(),
                     index,
                     offset,
-                    data: block,
+                    data,
                 };
-                offset += stored.raw_len as u64;
+                offset += split.len() as u64;
                 Ok(split)
             })
             .collect()
@@ -892,9 +963,12 @@ pub struct TextWriter {
 }
 
 impl TextWriter {
-    /// Appends one line (the terminator is added by the writer).
-    pub fn write_line(&mut self, line: &str) {
-        self.current.extend_from_slice(line.as_bytes());
+    /// Appends one line (the terminator is added by the writer). The
+    /// bytes need not be UTF-8, as in HDFS; readers skip such a line
+    /// ([`InputSplit::records`]).
+    pub fn write_line(&mut self, line: impl AsRef<[u8]>) {
+        let line = line.as_ref();
+        self.current.extend_from_slice(line);
         self.current.push(b'\n');
         self.len += line.len() as u64 + 1;
         self.lines += 1;
@@ -1389,6 +1463,156 @@ mod tests {
         }
         let err = fs.splits("f").unwrap_err();
         assert!(matches!(err, Error::Corrupt(_)), "{err}");
+    }
+
+    /// `splits` as one serial pass over the blocks, each decompressed
+    /// and then checked against its frame before the next: the order
+    /// the parallel verification must reproduce.
+    fn serial_splits(fs: &Dfs, path: &str) -> Result<Vec<(usize, u64, Bytes)>> {
+        let file = fs.file(path)?;
+        let mut offset = 0u64;
+        let mut out = Vec::new();
+        for (index, (stored, frame)) in file.blocks.iter().zip(&file.frames).enumerate() {
+            let block = stored.raw().map_err(|e| {
+                Error::Corrupt(format!(
+                    "{path} block {index}: stored block does not decompress ({e})"
+                ))
+            })?;
+            let expect = frame_header(block.len(), block_crc(&block));
+            if *frame != expect {
+                return Err(Error::Corrupt(format!(
+                    "{path} block {index}: frame {frame:?} does not match data ({expect})"
+                )));
+            }
+            let len = block.len() as u64;
+            out.push((index, offset, block));
+            offset += len;
+        }
+        Ok(out)
+    }
+
+    fn parallel_splits(fs: &Dfs, path: &str) -> Result<Vec<(usize, u64, Bytes)>> {
+        Ok(fs
+            .splits(path)?
+            .into_iter()
+            .map(|s| (s.index, s.offset, s.data))
+            .collect())
+    }
+
+    /// Rewrites the stored file behind the DFS's back.
+    fn tamper(fs: &Dfs, path: &str, edit: impl FnOnce(&mut Vec<StoredBlock>, &mut Vec<String>)) {
+        let mut files = fs.files.write();
+        let mut file = files.get(path).unwrap().as_ref().clone();
+        edit(&mut file.blocks, &mut file.frames);
+        files.insert(path.into(), Arc::new(file));
+    }
+
+    /// Flips one bit of a stored block: a frame mismatch on a raw block,
+    /// a decompression failure or a mismatch on a compressed one.
+    fn flip(blocks: &mut [StoredBlock], j: usize) {
+        let mut data = blocks[j].data.to_vec();
+        let mid = data.len() / 2;
+        data[mid] ^= 0x20;
+        blocks[j].data = Bytes::from(data);
+    }
+
+    fn many_blocks(compress: bool) -> Arc<Dfs> {
+        let fs = Arc::new(Dfs::with_compression(64, compress));
+        fs.put_lines(
+            "f",
+            (0..120).map(|i| format!("row {i} {} {}", i * 7, i % 13)),
+        )
+        .unwrap();
+        fs
+    }
+
+    #[test]
+    fn parallel_verification_matches_serial_on_clean_files() {
+        for compress in [false, true] {
+            let fs = many_blocks(compress);
+            let serial = serial_splits(&fs, "f").unwrap();
+            assert!(serial.len() > 8, "{} blocks", serial.len());
+            assert_eq!(parallel_splits(&fs, "f").unwrap(), serial);
+        }
+        // A one-block file (the checkpoint journal's shape) verifies on
+        // the calling thread alone.
+        let fs = dfs(1 << 20);
+        fs.put_lines("journal", ["GMRCKPT1 seq=1", "state"])
+            .unwrap();
+        let one = parallel_splits(&fs, "journal").unwrap();
+        assert_eq!(one.len(), 1);
+        assert_eq!(one, serial_splits(&fs, "journal").unwrap());
+    }
+
+    #[test]
+    fn parallel_verification_reports_the_serial_error_for_every_block() {
+        for compress in [false, true] {
+            let nblocks = many_blocks(compress).file("f").unwrap().blocks.len();
+            for j in 0..nblocks {
+                let fs = many_blocks(compress);
+                tamper(&fs, "f", |blocks, _| flip(blocks, j));
+                let want = serial_splits(&fs, "f").unwrap_err();
+                assert!(want.to_string().contains(&format!("block {j}:")), "{want}");
+                assert_eq!(
+                    fs.splits("f").unwrap_err(),
+                    want,
+                    "compress={compress} j={j}"
+                );
+
+                let fs = many_blocks(compress);
+                tamper(&fs, "f", |_, frames| frames[j].push('!'));
+                let want = serial_splits(&fs, "f").unwrap_err();
+                assert_eq!(
+                    fs.splits("f").unwrap_err(),
+                    want,
+                    "compress={compress} j={j}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_verification_names_the_lowest_bad_block() {
+        for compress in [false, true] {
+            let nblocks = many_blocks(compress).file("f").unwrap().blocks.len();
+            for (lo, hi) in [(0, 1), (0, nblocks - 1), (3, 7), (nblocks - 2, nblocks - 1)] {
+                // Bad data in one block and a bad frame in the other,
+                // both ways round: the lower index wins either way.
+                for data_first in [true, false] {
+                    let fs = many_blocks(compress);
+                    tamper(&fs, "f", |blocks, frames| {
+                        let (data, frame) = if data_first { (lo, hi) } else { (hi, lo) };
+                        flip(blocks, data);
+                        frames[frame].push('!');
+                    });
+                    let err = fs.splits("f").unwrap_err();
+                    assert_eq!(err, serial_splits(&fs, "f").unwrap_err());
+                    assert!(err.to_string().contains(&format!("f block {lo}:")), "{err}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_invalid_byte_drops_only_its_line() {
+        let split = InputSplit {
+            path: "f".into(),
+            index: 0,
+            offset: 100,
+            data: Bytes::from(b"1 2\r\n3 \xff 4\n5 6\n7 8".to_vec()),
+        };
+        let records: Vec<_> = split.records().collect();
+        assert_eq!(
+            records,
+            vec![
+                (100, Ok("1 2")),
+                (105, Err(&b"3 \xff 4"[..])),
+                (111, Ok("5 6")),
+                (115, Ok("7 8")),
+            ]
+        );
+        let lines: Vec<_> = split.lines().collect();
+        assert_eq!(lines, vec![(100, "1 2"), (111, "5 6"), (115, "7 8")]);
     }
 
     #[test]

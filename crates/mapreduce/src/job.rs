@@ -72,14 +72,14 @@ impl TaskContext {
         self.compute_units
     }
 
-    /// Quarantines one bad input record (unparsable, wrong dimension,
-    /// non-finite coordinates) instead of failing the task — Hadoop's
-    /// bad-record skipping. Charges the skip counters; the record is
-    /// otherwise dropped.
-    pub fn skip_bad_record(&mut self, line: &str) {
+    /// Quarantines one bad input record (not UTF-8, unparsable, wrong
+    /// dimension, non-finite coordinates) instead of failing the task —
+    /// Hadoop's bad-record skipping. Charges the skip counters; the
+    /// record is otherwise dropped.
+    pub fn skip_bad_record(&mut self, line: impl AsRef<[u8]>) {
         self.counters.inc(Counter::BadRecordsSkipped);
         self.counters
-            .add(Counter::BadRecordBytes, line.len() as u64 + 1);
+            .add(Counter::BadRecordBytes, line.as_ref().len() as u64 + 1);
     }
 }
 

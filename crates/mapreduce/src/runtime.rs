@@ -1419,8 +1419,15 @@ impl JobRunner {
         let mut mapper = job.create_mapper();
 
         mapper.setup(&mut ctx)?;
-        for (offset, line) in split.lines() {
+        for (offset, line) in split.records() {
             counters.inc(Counter::MapInputRecords);
+            let line = match line {
+                Ok(line) => line,
+                Err(raw) => {
+                    ctx.skip_bad_record(raw);
+                    continue;
+                }
+            };
             let mut out = MapOutput {
                 emitter: &mut emitter,
                 partitioner: &partitioner,

@@ -192,6 +192,39 @@ fn mapper_error_fails_job() {
 }
 
 #[test]
+fn non_utf8_line_is_skipped_and_counted_while_its_split_still_maps() {
+    let dfs = Arc::new(Dfs::default());
+    let mut w = dfs.create("in", false).unwrap();
+    for line in [&b"1 1"[..], b"2 \xff 2", b"3"] {
+        w.write_line(line);
+    }
+    w.close();
+    let runner = JobRunner::new(dfs, ClusterConfig::default()).unwrap();
+    let mut r = runner
+        .run(&CountJob { combiner: false }, "in", &JobConfig::default())
+        .unwrap();
+    r.output.sort();
+    assert_eq!(r.output, vec![(1, 2), (3, 1)]);
+    assert_eq!(r.counters.get(Counter::MapInputRecords), 3);
+    assert_eq!(r.counters.get(Counter::BadRecordsSkipped), 1);
+    assert_eq!(r.counters.get(Counter::BadRecordBytes), 6);
+}
+
+#[test]
+fn nan_cost_coefficient_is_a_config_error_not_a_panic() {
+    let mut cluster = ClusterConfig::default();
+    cluster.cost_model.secs_per_input_byte = f64::NAN;
+    let Err(err) = JobRunner::new(Arc::new(Dfs::default()), cluster) else {
+        panic!("a NaN cost coefficient must be rejected");
+    };
+    assert!(matches!(err, gmr_mapreduce::Error::Config(_)), "{err:?}");
+    assert!(err.to_string().contains("secs_per_input_byte"), "{err}");
+    let mut cluster = ClusterConfig::default();
+    cluster.cost_model.task_setup_secs = -1.0;
+    assert!(cluster.validate().is_err());
+}
+
+#[test]
 fn timing_has_setup_and_tasks() {
     let (_dfs, runner) = setup(64, 500);
     let r = runner

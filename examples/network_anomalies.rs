@@ -88,7 +88,7 @@ fn main() {
     {
         let mut w = dfs.create("flows.txt", false).expect("fresh path");
         for row in flows.rows() {
-            w.write_line(&format_point(row));
+            w.write_line(format_point(row));
         }
         w.close();
     }

@@ -155,6 +155,28 @@ fn blank_and_whitespace_lines_are_skipped_not_fatal() {
 }
 
 #[test]
+fn non_utf8_line_is_quarantined_not_its_whole_split() {
+    let dfs = Arc::new(Dfs::new(1024));
+    let mut w = dfs.create("pts", false).unwrap();
+    for line in [&b"1.0 2.0"[..], b"3.0 \xe9 4.0", b"3.0 4.0", b"5.0 1.0"] {
+        w.write_line(line);
+    }
+    w.close();
+    let runner = JobRunner::new(dfs, ClusterConfig::default()).unwrap();
+    let report = check_input(&runner, "pts").unwrap();
+    assert_eq!((report.lines, report.points, report.bad_records), (4, 3, 1));
+    let r = MRGMeans::new(runner, GMeansConfig::default())
+        .run("pts")
+        .unwrap();
+    assert_eq!(r.counts.iter().sum::<u64>(), 3);
+    assert!(
+        r.counters
+            .get(gmr_mapreduce::prelude::Counter::BadRecordsSkipped)
+            > 0
+    );
+}
+
+#[test]
 fn mixed_dimensions_degrade_to_the_modal_dimension() {
     let dfs = Arc::new(Dfs::new(1024));
     dfs.put_lines("pts", ["1.0 2.0", "3.0 4.0", "3.0 4.0 5.0"])
